@@ -3,8 +3,9 @@
 // latest values, topic listings, and live WebSocket/SSE subscriptions —
 // over a dialed stream fabric (apollod's -listen address). Run it next to
 // the daemon, or scale it out horizontally: each gateway carries its own
-// prepared-plan cache and per-client subscription bridges; the fabric
-// underneath is shared.
+// prepared-plan cache and one upstream subscription per watched metric,
+// shared by all its clients of that metric; the fabric underneath is
+// shared.
 //
 // Usage:
 //

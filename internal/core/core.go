@@ -240,20 +240,7 @@ func (b *busSwitch) Subscribe(ctx context.Context, topic string, afterID uint64)
 	return b.get().Subscribe(ctx, topic, afterID)
 }
 
-// SubscribeBuffered passes the gateway's per-client buffer bound through to
-// the underlying bus when it supports sized fan-out channels.
-func (b *busSwitch) SubscribeBuffered(ctx context.Context, topic string, afterID uint64, buffer int) (<-chan stream.Entry, error) {
-	bus := b.get()
-	if bs, ok := bus.(stream.BufferedSubscriber); ok {
-		return bs.SubscribeBuffered(ctx, topic, afterID, buffer)
-	}
-	return bus.Subscribe(ctx, topic, afterID)
-}
-
-var (
-	_ stream.Bus                = (*busSwitch)(nil)
-	_ stream.BufferedSubscriber = (*busSwitch)(nil)
-)
+var _ stream.Bus = (*busSwitch)(nil)
 
 // New builds an Apollo service.
 func New(cfg Config) *Service {

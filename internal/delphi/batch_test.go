@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -199,6 +200,9 @@ func TestBatchPredictorConcurrentObserve(t *testing.T) {
 					return
 				default:
 					o.Observe(rng.NormFloat64())
+					// Yield: 160 spinning observers on a 2-CPU machine
+					// otherwise starve the sweeps for minutes.
+					runtime.Gosched()
 				}
 			}
 		}(o, int64(i))

@@ -47,9 +47,13 @@ type Backend interface {
 	// Topics lists the metric streams the backend serves.
 	Topics(ctx context.Context) ([]string, error)
 	// Subscribe streams raw entries of metric with ID > afterID until ctx
-	// ends. The buffer is the bridge's upstream slack (see
-	// stream.BufferedSubscriber).
-	Subscribe(ctx context.Context, metric string, afterID uint64, buffer int) (<-chan stream.Entry, error)
+	// ends. The hub opens one per metric and shares it among subscribers.
+	Subscribe(ctx context.Context, metric string, afterID uint64) (<-chan stream.Entry, error)
+	// ConsumeBatch returns up to max retained entries of metric with ID >
+	// afterID, skipping evicted ones like Subscribe. It blocks while none
+	// exists; the hub calls it only to backfill a resume point behind
+	// entries its feed already delivered, where it returns at once.
+	ConsumeBatch(ctx context.Context, metric string, afterID uint64, max int) ([]stream.Entry, error)
 	// Degraded reports backend health for the health endpoint.
 	Degraded() bool
 	// Retention reports per-metric archive tier stats, or ErrUnavailable.
@@ -253,9 +257,9 @@ func (g *Gateway) Close() {
 // Subscribers reports the number of live subscriptions.
 func (g *Gateway) Subscribers() int { return g.hub.size() }
 
-// Attach bridges one subscriber onto the backend without a transport —
-// the entry point the WS/SSE handlers, the deterministic load scenario, and
-// tests share. See hub.attach.
+// Attach joins one subscriber to its metric's shared feed without a
+// transport — the entry point the WS/SSE handlers, the deterministic load
+// scenario, and tests share. Cancelling ctx detaches it. See hub.attach.
 func (g *Gateway) Attach(ctx context.Context, principal, metric string, afterID uint64) (*Subscriber, error) {
 	if g.isDraining() {
 		return nil, apiv1.Errorf(apiv1.CodeDraining, true, "gateway draining")

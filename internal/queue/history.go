@@ -188,6 +188,11 @@ func (h *History) Range(from, to int64) []telemetry.Info {
 func (h *History) RangeFunc(from, to int64, fn func(telemetry.Info) bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
+	h.visitLocked(from, to, fn)
+}
+
+// visitLocked is RangeFunc's scan. Caller holds h.mu.
+func (h *History) visitLocked(from, to int64, fn func(telemetry.Info) bool) {
 	lo, hi := h.boundsLocked(from, to)
 	a, b := h.spansLocked(lo, hi)
 	for i := range a {
@@ -200,6 +205,21 @@ func (h *History) RangeFunc(from, to int64, fn func(telemetry.Info) bool) {
 			return
 		}
 	}
+}
+
+// RangeFuncAt is RangeFunc guarded by an earlier Bounds read: it visits the
+// window only while its oldest entry still has timestamp oldest. If an
+// append evicted entries since, it visits nothing and returns the new
+// oldest timestamp with moved set, so a caller merging an archive below the
+// window can read the evicted gap there before retrying.
+func (h *History) RangeFuncAt(oldest, from, to int64, fn func(telemetry.Info) bool) (now int64, moved bool) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if h.count > 0 && h.buf[h.head].Timestamp != oldest {
+		return h.buf[h.head].Timestamp, true
+	}
+	h.visitLocked(from, to, fn)
+	return oldest, false
 }
 
 // Fold accumulates over every entry with Timestamp in [from, to], oldest

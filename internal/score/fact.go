@@ -431,23 +431,13 @@ func (v *FactVertex) ScanRange(from, to int64, fn func(telemetry.Info) bool) {
 	scanWithArchive(v.history, v.cfg.Archive, from, to, fn)
 }
 
-// rangeWithArchive merges archive and history ranges. The retention horizon
-// comes from Bounds (two reads under the lock) rather than a full Snapshot
-// copy.
+// rangeWithArchive is the copying form of scanWithArchive.
 func rangeWithArchive(h *queue.History, log *archive.Log, from, to int64) []telemetry.Info {
-	oldest, _, ok := h.Bounds()
 	var out []telemetry.Info
-	if log != nil && (!ok || from < oldest) {
-		hi := to
-		if ok && oldest-1 < hi {
-			hi = oldest - 1
-		}
-		_ = log.Range(from, hi, func(i telemetry.Info) error {
-			out = append(out, i)
-			return nil
-		})
-	}
-	out = append(out, h.Range(from, to)...)
+	scanWithArchive(h, log, from, to, func(i telemetry.Info) bool {
+		out = append(out, i)
+		return true
+	})
 	return out
 }
 
@@ -458,24 +448,41 @@ var errStopScan = errors.New("score: scan stopped")
 // scanWithArchive streams entries with Timestamp in [from, to] to fn —
 // archived (evicted) entries first, then the in-memory window — without
 // materializing the merged slice. fn returns false to stop the scan.
+//
+// An append may evict entries between reading the ring's bounds and
+// scanning the ring. Eviction archives them under the History write lock
+// and archive.Log.Range flushes before it reads, so when the ring's oldest
+// entry moved, the gap is read from the archive and the ring scan retried.
 func scanWithArchive(h *queue.History, log *archive.Log, from, to int64, fn func(telemetry.Info) bool) {
 	oldest, _, ok := h.Bounds()
-	if log != nil && (!ok || from < oldest) {
-		hi := to
-		if ok && oldest-1 < hi {
-			hi = oldest - 1
+	if log == nil || !ok {
+		if log == nil || scanArchive(log, from, to, fn) {
+			h.RangeFunc(from, to, fn)
 		}
-		stopped := false
-		_ = log.Range(from, hi, func(i telemetry.Info) error {
-			if !fn(i) {
-				stopped = true
-				return errStopScan
-			}
-			return nil
-		})
-		if stopped {
+		return
+	}
+	for lo := from; ; {
+		if hi := min(to, oldest-1); lo <= hi && !scanArchive(log, lo, hi, fn) {
+			return
+		}
+		lo = max(lo, oldest)
+		var moved bool
+		if oldest, moved = h.RangeFuncAt(oldest, from, to, fn); !moved {
 			return
 		}
 	}
-	h.RangeFunc(from, to, fn)
+}
+
+// scanArchive streams the archived entries in [from, to] to fn, reporting
+// false when fn stopped the scan.
+func scanArchive(log *archive.Log, from, to int64, fn func(telemetry.Info) bool) bool {
+	stopped := false
+	_ = log.Range(from, to, func(i telemetry.Info) error {
+		if !fn(i) {
+			stopped = true
+			return errStopScan
+		}
+		return nil
+	})
+	return !stopped
 }

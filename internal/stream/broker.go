@@ -558,26 +558,10 @@ func (b *Broker) ConsumeBatch(ctx context.Context, topicName string, afterID uin
 // Subscribe starts a goroutine that delivers every entry after afterID to the
 // returned channel until ctx is cancelled. The channel is closed on exit.
 func (b *Broker) Subscribe(ctx context.Context, topicName string, afterID uint64) (<-chan Entry, error) {
-	return b.SubscribeBuffered(ctx, topicName, afterID, DefaultSubscribeBuffer)
-}
-
-// DefaultSubscribeBuffer is the fan-out channel capacity Subscribe uses.
-const DefaultSubscribeBuffer = 64
-
-// SubscribeBuffered is the fan-out hook behind Subscribe: identical
-// semantics, but the delivery channel's capacity is the caller's choice.
-// High-fan-out bridges (the HTTP gateway runs one subscription per attached
-// client) size this buffer to their per-client budget so upstream slack is
-// bounded and accounted, instead of inheriting one hard-coded default per
-// subscriber.
-func (b *Broker) SubscribeBuffered(ctx context.Context, topicName string, afterID uint64, buffer int) (<-chan Entry, error) {
 	if _, err := b.topicFor(topicName, true); err != nil {
 		return nil, err
 	}
-	if buffer < 1 {
-		buffer = DefaultSubscribeBuffer
-	}
-	ch := make(chan Entry, buffer)
+	ch := make(chan Entry, DefaultSubscribeBuffer)
 	go func() {
 		defer close(ch)
 		last := afterID
@@ -598,6 +582,9 @@ func (b *Broker) SubscribeBuffered(ctx context.Context, topicName string, afterI
 	}()
 	return ch, nil
 }
+
+// DefaultSubscribeBuffer is the fan-out channel capacity Subscribe uses.
+const DefaultSubscribeBuffer = 64
 
 // CreateGroup registers a consumer group on a topic starting after afterID
 // (0 = from the beginning of retention).

@@ -50,22 +50,9 @@ type GroupBus interface {
 	Ack(ctx context.Context, topic, group string, id uint64) error
 }
 
-// BufferedSubscriber is the optional fan-out hook a Bus may offer: Subscribe
-// with a caller-sized delivery buffer. Both Broker and Client implement it;
-// high-fan-out consumers (the public HTTP gateway bridges one subscription
-// per attached client) type-assert for it and fall back to Subscribe.
-type BufferedSubscriber interface {
-	// SubscribeBuffered delivers every entry with ID > afterID until ctx
-	// ends, over a channel with the given capacity (<1 selects
-	// DefaultSubscribeBuffer).
-	SubscribeBuffered(ctx context.Context, topic string, afterID uint64, buffer int) (<-chan Entry, error)
-}
-
 var (
-	_ Bus                = (*Broker)(nil)
-	_ Bus                = (*Client)(nil)
-	_ GroupBus           = (*Broker)(nil)
-	_ GroupBus           = (*Client)(nil)
-	_ BufferedSubscriber = (*Broker)(nil)
-	_ BufferedSubscriber = (*Client)(nil)
+	_ Bus      = (*Broker)(nil)
+	_ Bus      = (*Client)(nil)
+	_ GroupBus = (*Broker)(nil)
+	_ GroupBus = (*Client)(nil)
 )

@@ -764,21 +764,11 @@ func (c *Client) Topics(ctx context.Context) ([]string, error) {
 // connection (see Subscription) delivering entries of topic with ID >
 // afterID until ctx ends.
 func (c *Client) Subscribe(ctx context.Context, topic string, afterID uint64) (<-chan Entry, error) {
-	return c.SubscribeBuffered(ctx, topic, afterID, DefaultSubscribeBuffer)
-}
-
-// SubscribeBuffered implements the same fan-out hook as
-// Broker.SubscribeBuffered over the TCP transport: Subscribe semantics with
-// a caller-sized delivery channel.
-func (c *Client) SubscribeBuffered(ctx context.Context, topic string, afterID uint64, buffer int) (<-chan Entry, error) {
 	sub, err := subscribeOpt(c.addr, topic, afterID, c.opt)
 	if err != nil {
 		return nil, err
 	}
-	if buffer < 1 {
-		buffer = DefaultSubscribeBuffer
-	}
-	out := make(chan Entry, buffer)
+	out := make(chan Entry, DefaultSubscribeBuffer)
 	go func() {
 		defer close(out)
 		defer sub.Close()
