@@ -26,8 +26,8 @@ import (
 	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/delphi"
+	"repro/internal/gateway"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/score"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -47,18 +47,25 @@ type (
 	MetricOption = core.MetricOption
 	// Retention is the tiered archive age policy (DESIGN.md §4i): raw →
 	// 10s rollups → 1m rollups → dropped. Service-wide default via
-	// Config.ArchiveRetention, per-metric override via WithRetention.
+	// Config.ArchiveRetention, per-metric override via WithMetricRetention.
 	Retention = archive.Retention
 )
 
 // ParseRetention parses the CLI retention syntax "raw=15m,10s=2h,1m=24h".
 func ParseRetention(s string) (Retention, error) { return archive.ParseRetention(s) }
 
-// WithRetention overrides Config.ArchiveRetention for one metric.
-//
-// Deprecated: renamed to WithMetricRetention (see core.WithRetention); this
-// alias is removed one release after the gateway release.
-func WithRetention(r Retention) MetricOption { return core.WithRetention(r) }
+// WithMetricRetention overrides Config.ArchiveRetention for one metric.
+func WithMetricRetention(r Retention) MetricOption { return core.WithMetricRetention(r) }
+
+// Gateway types: the public HTTP/JSON edge serving the api/v1 contract
+// (queries, latest values, WebSocket/SSE subscriptions) with bearer-token
+// auth, per-principal rate limits, and slow-consumer eviction.
+type (
+	// Gateway is the running public edge; Service.Gateway returns it.
+	Gateway = gateway.Gateway
+	// GatewayConfig parameterizes the edge (tokens, rate, burst, queue).
+	GatewayConfig = gateway.Config
+)
 
 // Telemetry types.
 type (
@@ -191,7 +198,7 @@ type (
 	// DelphiTrainOptions controls training.
 	DelphiTrainOptions = delphi.TrainOptions
 	// DelphiDriftConfig tunes the per-metric drift detectors
-	// (Config.DelphiDrift / WithDelphiDrift).
+	// (Config.DelphiDrift).
 	DelphiDriftConfig = delphi.DriftConfig
 	// DelphiRetrainConfig parameterizes incremental combiner retraining.
 	DelphiRetrainConfig = delphi.RetrainConfig
@@ -212,7 +219,7 @@ type (
 	Clock = sim.Clock
 	// SimClock is a manually-advanced virtual clock for replay and
 	// deterministic simulation (alias of sim.Virtual).
-	SimClock = sched.SimClock
+	SimClock = sim.Virtual
 )
 
 // Trace is a captured metric series (§4.3.1 capture/replay methodology).
@@ -255,7 +262,7 @@ func TrainDelphi(opts DelphiTrainOptions) (*DelphiModel, error) { return delphi.
 func LoadDelphi(path string) (*DelphiModel, error) { return delphi.Load(path) }
 
 // NewSimClock returns a simulated clock for deterministic replay.
-func NewSimClock(start time.Time) *SimClock { return sched.NewSimClock(start) }
+func NewSimClock(start time.Time) *SimClock { return sim.NewVirtual(start) }
 
 // LoadTrace reads a trace file saved with (*Trace).Save.
 func LoadTrace(path string) (*Trace, error) { return trace.Load(path) }

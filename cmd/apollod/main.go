@@ -32,7 +32,6 @@ import (
 	"repro/apollo"
 	"repro/internal/archive"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -85,7 +84,25 @@ func main() {
 		log.Fatal("apollod: -retention/-compact-interval require -archive-dir")
 	}
 
-	cfg := apollo.Config{}
+	cfg := apollo.Config{
+		DelphiBatch:      *delphiB,
+		DelphiRegistry:   *delphiR,
+		DelphiRetrain:    *delphiRT,
+		BaseTick:         *baseTick,
+		Retention:        *streamR,
+		HistorySize:      *history,
+		Shards:           *shards,
+		PlanCache:        *planC,
+		ArchiveDir:       *archDir,
+		ArchiveRetention: retention,
+		CompactInterval:  *compactI,
+		NodeID:           *nodeID,
+		Peers:            peers,
+		Replicas:         *replicas,
+		LeaseTTL:         *leaseTTL,
+		ReplicaLagMax:    *lagMax,
+		GatewayAddr:      *gwAddr,
+	}
 	switch *mode {
 	case "fixed":
 		cfg.Mode = apollo.IntervalFixed
@@ -110,14 +127,9 @@ func main() {
 		cfg.Delphi = m
 		log.Printf("delphi model loaded from %s", *delphiF)
 	}
-	if *delphiF != "" || *delphiR != "" {
-		cfg.DelphiBatch = *delphiB
-		if *delphiB > 0 {
-			log.Printf("delphi batch predictor enabled: %d sweep workers", *delphiB)
-		}
+	if *delphiB > 0 {
+		log.Printf("delphi batch predictor enabled: %d sweep workers", *delphiB)
 	}
-	cfg.DelphiRegistry = *delphiR
-	cfg.DelphiRetrain = *delphiRT
 
 	gwTokenMap, err := parseTokens(*gwTokens)
 	if err != nil {
@@ -126,35 +138,15 @@ func main() {
 	if *gwAddr == "" && (*gwTokens != "" || *gwRate != 0 || *gwBurst != 0 || *gwQueue != 0) {
 		log.Fatal("apollod: -gateway-tokens/-gateway-rate/-gateway-burst/-gateway-queue require -gateway-addr")
 	}
+	cfg.Gateway = apollo.GatewayConfig{
+		Tokens:    gwTokenMap,
+		Rate:      *gwRate,
+		Burst:     *gwBurst,
+		QueueSize: *gwQueue,
+	}
 
 	sim := cluster.BuildAres(time.Now(), *compute, *storage)
-	svc := core.New(core.Config{
-		Mode:             core.IntervalMode(cfg.Mode),
-		Delphi:           cfg.Delphi,
-		DelphiBatch:      cfg.DelphiBatch,
-		DelphiRegistry:   cfg.DelphiRegistry,
-		DelphiRetrain:    cfg.DelphiRetrain,
-		BaseTick:         *baseTick,
-		Retention:        *streamR,
-		HistorySize:      *history,
-		Shards:           *shards,
-		PlanCache:        *planC,
-		ArchiveDir:       *archDir,
-		ArchiveRetention: retention,
-		CompactInterval:  *compactI,
-		NodeID:           *nodeID,
-		Peers:            peers,
-		Replicas:         *replicas,
-		LeaseTTL:         *leaseTTL,
-		ReplicaLagMax:    *lagMax,
-		GatewayAddr:      *gwAddr,
-		Gateway: apollo.GatewayConfig{
-			Tokens:    gwTokenMap,
-			Rate:      *gwRate,
-			Burst:     *gwBurst,
-			QueueSize: *gwQueue,
-		},
-	})
+	svc := apollo.New(cfg)
 	var metrics int
 	for _, n := range sim.Nodes() {
 		ids, err := svc.DeployNodeMonitors(n)

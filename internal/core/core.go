@@ -65,8 +65,7 @@ func (m IntervalMode) String() string {
 // Config configures an Apollo service.
 type Config struct {
 	// Clock drives all polling; nil means the wall clock. Inject a
-	// *sched.SimClock (alias of *sim.Virtual) to run the whole service on
-	// deterministic virtual time.
+	// *sim.Virtual to run the whole service on deterministic virtual time.
 	Clock sim.Clock
 	// Retention bounds each metric's broker topic (0: default).
 	Retention int
@@ -78,19 +77,17 @@ type Config struct {
 	Adaptive adaptive.Config
 	// Delphi, if non-nil, enables predicted values between polls.
 	Delphi *delphi.Model
-	// DelphiBatch, if > 0 while Delphi is set, runs a shared batch predictor
-	// over every Delphi-enabled metric with this many sweep workers: the
-	// metrics' windows are evaluated through one fused ForwardBatch pass per
-	// sweep (Service.PredictAll) instead of one model walk per metric. All
-	// metrics of a service share one model, i.e. one device class — the
-	// fleet-scale per-class sharding precursor. 0 keeps per-vertex
-	// prediction only.
+	// DelphiBatch, if > 0, runs one batch predictor per device class with
+	// this many sweep workers: the class's windows are evaluated through one
+	// fused ForwardBatch pass per sweep (Service.PredictAll) instead of one
+	// model walk per metric. 0 keeps per-vertex prediction only.
 	DelphiBatch int
 	// DelphiRegistry, if set, is the directory of the versioned per-class
 	// model store: metrics shard into device classes (DeviceClass), each
 	// class serves the registry's active model version (falling back to
 	// Delphi for classes with no lineage yet), and promotions/rollbacks land
-	// atomically. Empty keeps the single shared-model behavior.
+	// atomically. Empty puts every Delphi metric in one unversioned
+	// "default" class serving Delphi.
 	DelphiRegistry string
 	// DelphiRetrain, if > 0, arms per-metric drift detectors on every
 	// Delphi-enabled vertex and — when DelphiRegistry is also set — runs the
@@ -109,7 +106,7 @@ type Config struct {
 	// metric archive: raw records age into 10s rollups, then 1m rollups,
 	// then out entirely (see archive.Retention). The zero value keeps
 	// everything at full resolution forever (sealed segments are still
-	// compressed). Per-metric overrides via WithRetention.
+	// compressed). Per-metric overrides via WithMetricRetention.
 	ArchiveRetention archive.Retention
 	// CompactInterval is how often the background archive compactor runs
 	// when ArchiveDir is set (0: archive.DefaultCompactInterval). It runs on
@@ -171,14 +168,8 @@ type Service struct {
 
 	compactor *archive.Compactor
 
-	batch *delphi.BatchPredictor // shared device-class predictor, nil unless DelphiBatch > 0
-
-	fleet    *delphiFleet // per-device-class sharding, nil unless DelphiRegistry is set
+	fleet    *delphiFleet // Delphi device classes, nil without Delphi or DelphiRegistry
 	fleetErr error        // deferred to Start: New cannot return an error
-
-	predMu      sync.Mutex
-	predMetrics []telemetry.MetricID     // slot index -> metric
-	predScratch []delphi.BatchPrediction // reusable PredictAll sweep buffer
 
 	mu        sync.Mutex
 	archives  []*archive.Log
@@ -267,18 +258,8 @@ func New(cfg Config) *Service {
 	s.broker.Instrument(s.obs)
 	s.engine = aqe.NewEngine(aqe.GraphResolver{Graph: s.graph}, aqe.WithPlanCache(cfg.PlanCache))
 	s.engine.Instrument(s.obs)
-	if cfg.DelphiRegistry != "" {
-		// Fleet mode: per-device-class models, batch predictors, and the
-		// drift/retrain loop live in the fleet layer; the single shared
-		// "default"-class predictor stays off.
+	if cfg.Delphi != nil || cfg.DelphiRegistry != "" {
 		s.fleet, s.fleetErr = newDelphiFleet(cfg, s.obs)
-	} else if cfg.Delphi != nil && cfg.DelphiBatch > 0 {
-		// Untrained models are tolerated the same way NewOnline tolerates
-		// them: the batch lane just stays off and per-vertex fallback rules.
-		if bp, err := delphi.NewBatchPredictor(cfg.Delphi, cfg.DelphiBatch); err == nil {
-			bp.Instrument(s.obs, "default")
-			s.batch = bp
-		}
 	}
 	return s
 }
@@ -334,15 +315,11 @@ func WithPublishUnchanged() MetricOption {
 	return func(fc *score.FactConfig) { fc.PublishUnchanged = true }
 }
 
-// WithRetention overrides the service-level archive retention policy for
-// this metric.
-//
-// Deprecated: renamed to WithMetricRetention to free the "retention" name
-// for the broker-topic bound (WithStreamRetention) and the archive default
-// (WithArchiveRetention). This alias is removed one release after the
-// gateway release.
-func WithRetention(r archive.Retention) MetricOption {
-	return WithMetricRetention(r)
+// WithMetricRetention overrides the service-level archive retention policy
+// (Config.ArchiveRetention) for one metric. Only meaningful when the service
+// has an ArchiveDir.
+func WithMetricRetention(r archive.Retention) MetricOption {
+	return func(fc *score.FactConfig) { fc.Retention = &r }
 }
 
 // RegisterMetric deploys a Fact Vertex for hook. Safe before or after Start;
@@ -365,8 +342,6 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 	if s.fleet != nil {
 		cls = s.fleet.classFor(hook.Metric())
 		fc.Delphi = cls.newOnline()
-	} else if s.cfg.Delphi != nil {
-		fc.Delphi = delphi.NewOnline(s.cfg.Delphi)
 	}
 	if s.cfg.ArchiveDir != "" {
 		log, err := archive.Open(filepath.Join(s.cfg.ArchiveDir, string(hook.Metric())), archive.Options{})
@@ -387,9 +362,8 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 	if fc.Delphi != nil && s.cfg.DelphiRetrain > 0 {
 		det = delphi.NewDetector(s.cfg.DelphiDrift)
 		fc.Drift = det
-		if s.fleet != nil && s.fleet.trainer != nil {
-			class := DeviceClass(hook.Metric())
-			fc.OnDrift = func(telemetry.MetricID) { s.fleet.trainer.Enqueue(class) }
+		if cls != nil && s.fleet.trainer != nil {
+			fc.OnDrift = func(telemetry.MetricID) { s.fleet.trainer.Enqueue(cls.name) }
 		}
 	}
 	if fc.Archive != nil && s.compactor != nil {
@@ -407,16 +381,8 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 		return nil, err
 	}
 	// After opts, so WithoutDelphi keeps the metric out of the batch sweep.
-	if fc.Delphi != nil {
-		if cls != nil {
-			cls.attach(hook.Metric(), fc.Delphi, det, v)
-		} else if s.batch != nil {
-			if _, err := s.batch.Register(fc.Delphi); err == nil {
-				s.predMu.Lock()
-				s.predMetrics = append(s.predMetrics, hook.Metric())
-				s.predMu.Unlock()
-			}
-		}
+	if fc.Delphi != nil && cls != nil {
+		cls.attach(member{id: hook.Metric(), online: fc.Delphi, det: det, vertex: v})
 	}
 	if s.isStarted() {
 		if err := v.Start(); err != nil {
@@ -451,8 +417,15 @@ func (s *Service) RegisterInsight(id telemetry.MetricID, inputs []telemetry.Metr
 	return v, nil
 }
 
-// Unregister removes a vertex at runtime (§3.1).
-func (s *Service) Unregister(id telemetry.MetricID) bool { return s.graph.Unregister(id) }
+// Unregister removes a vertex at runtime (§3.1), and with it the metric's
+// place in its Delphi class: PredictAll and the retrainer stop seeing it.
+func (s *Service) Unregister(id telemetry.MetricID) bool {
+	ok := s.graph.Unregister(id)
+	if ok && s.fleet != nil {
+		s.fleet.detach(id)
+	}
+	return ok
+}
 
 func (s *Service) isStarted() bool {
 	s.mu.Lock()
@@ -523,9 +496,6 @@ func (s *Service) Stop() {
 	s.broker.Close()
 	for _, a := range archives {
 		a.Close()
-	}
-	if s.batch != nil {
-		s.batch.Close()
 	}
 	if s.fleet != nil {
 		s.fleet.stop()
@@ -678,32 +648,18 @@ type BatchResult struct {
 	OK     bool
 }
 
-// BatchPredictor exposes the shared device-class batch predictor, or nil when
-// Config.DelphiBatch is unset (or the model was untrained). Fleet drivers
-// that feed windows directly (bypassing vertices) use it with their own
-// Online instances.
-func (s *Service) BatchPredictor() *delphi.BatchPredictor { return s.batch }
-
-// PredictAll runs one fused batched sweep over every Delphi-enabled metric
-// registered on the service and returns a forecast per metric, bit-identical
-// to what each vertex's own Online.Predict would return at this instant. It
-// returns nil when batching is disabled. Sweeps are serialized internally;
+// PredictAll runs one fused batched sweep per device class over every
+// Delphi-enabled metric registered on the service and returns a forecast per
+// metric, bit-identical to what each vertex's own Online.Predict would return
+// at this instant. Classes sweep in name order, metrics within a class in
+// registration order. It returns nil when batching is disabled (no
+// DelphiBatch, or an untrained model). Sweeps are serialized internally;
 // vertices keep observing concurrently.
 func (s *Service) PredictAll() []BatchResult {
-	if s.fleet != nil {
-		return s.fleet.predictAll()
-	}
-	if s.batch == nil {
+	if s.fleet == nil {
 		return nil
 	}
-	s.predMu.Lock()
-	defer s.predMu.Unlock()
-	s.predScratch = s.batch.PredictAll(s.predScratch[:0])
-	out := make([]BatchResult, len(s.predScratch))
-	for i, p := range s.predScratch {
-		out[i] = BatchResult{Metric: s.predMetrics[p.Slot], Value: p.Value, OK: p.OK}
-	}
-	return out
+	return s.fleet.predictAll()
 }
 
 // Degraded reports whether any registered vertex (or, in a fabric, any

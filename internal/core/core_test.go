@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/cluster"
-	"repro/internal/sched"
 	"repro/internal/score"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -26,7 +26,7 @@ func TestIntervalModeString(t *testing.T) {
 }
 
 func TestServiceLifecycle(t *testing.T) {
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	if _, err := s.RegisterMetric(constHook("m", 42)); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestServiceLifecycle(t *testing.T) {
 }
 
 func TestServiceHealthSurface(t *testing.T) {
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	if _, err := s.RegisterMetric(constHook("h1", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestRegisterAfterStart(t *testing.T) {
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +100,19 @@ func TestRegisterAfterStart(t *testing.T) {
 
 func TestModes(t *testing.T) {
 	for _, mode := range []IntervalMode{IntervalFixed, IntervalSimpleAIMD, IntervalComplexAIMD, IntervalEntropy} {
-		s := New(Config{Mode: mode, Clock: sched.NewSimClock(time.Unix(0, 0))})
+		s := New(Config{Mode: mode, Clock: sim.NewVirtual(time.Unix(0, 0))})
 		if _, err := s.RegisterMetric(constHook("m", 1)); err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
 	}
-	s := New(Config{Mode: IntervalMode(99), Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Mode: IntervalMode(99), Clock: sim.NewVirtual(time.Unix(0, 0))})
 	if _, err := s.RegisterMetric(constHook("m", 1)); err == nil {
 		t.Fatal("bad mode accepted")
 	}
 }
 
 func TestMetricOptions(t *testing.T) {
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	ctrl := adaptive.NewFixed(5 * time.Second)
 	v, err := s.RegisterMetric(constHook("m", 1), WithController(ctrl), WithoutDelphi(), WithPublishUnchanged())
 	if err != nil {
@@ -128,7 +128,7 @@ func TestMetricOptions(t *testing.T) {
 }
 
 func TestQueryThroughAQE(t *testing.T) {
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	va, _ := s.RegisterMetric(constHook("pfs_capacity", 500))
 	vb, _ := s.RegisterMetric(constHook("node_1_memory", 64))
 	va.PollOnce()
@@ -143,7 +143,7 @@ func TestQueryThroughAQE(t *testing.T) {
 }
 
 func TestInsightRegistration(t *testing.T) {
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	s := New(Config{Clock: clock})
 	s.RegisterMetric(constHook("a", 10))
 	s.RegisterMetric(constHook("b", 20))
@@ -167,7 +167,7 @@ func TestInsightRegistration(t *testing.T) {
 }
 
 func TestSubscribe(t *testing.T) {
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	v, _ := s.RegisterMetric(constHook("m", 3))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -187,7 +187,7 @@ func TestSubscribe(t *testing.T) {
 }
 
 func TestRangeAndMissingMetric(t *testing.T) {
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	s := New(Config{Clock: clock})
 	h := &score.ReplayHook{ID: "m", Trace: []float64{1, 2, 3}}
 	v, _ := s.RegisterMetric(h)
@@ -208,7 +208,7 @@ func TestRangeAndMissingMetric(t *testing.T) {
 }
 
 func TestArchiveDirWiring(t *testing.T) {
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	s := New(Config{Clock: clock, ArchiveDir: t.TempDir(), HistorySize: 2})
 	h := &score.ReplayHook{ID: "m", Trace: []float64{1, 2, 3, 4, 5}}
 	v, err := s.RegisterMetric(h)
@@ -227,7 +227,7 @@ func TestArchiveDirWiring(t *testing.T) {
 }
 
 func TestServeTCP(t *testing.T) {
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	v, _ := s.RegisterMetric(constHook("m", 9))
 	v.PollOnce()
 	addr, err := s.Serve("127.0.0.1:0")
@@ -255,7 +255,7 @@ func TestServeTCP(t *testing.T) {
 
 func TestDeployNodeMonitors(t *testing.T) {
 	c := cluster.BuildAres(time.Unix(0, 0), 1, 0)
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	ids, err := s.DeployNodeMonitors(c.Node("comp00"))
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestDeployNodeMonitors(t *testing.T) {
 
 func TestDeployTierCapacityInsights(t *testing.T) {
 	c := cluster.BuildAres(time.Unix(0, 0), 2, 1)
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	s := New(Config{Clock: clock})
 	sink, err := s.DeployTierCapacityInsights(c)
 	if err != nil {
@@ -298,7 +298,7 @@ func TestDeployTierCapacityInsights(t *testing.T) {
 
 func TestCapacityView(t *testing.T) {
 	c := cluster.BuildAres(time.Unix(0, 0), 1, 0)
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	d := c.Node("comp00").Device("nvme0")
 	v, _ := s.RegisterMetric(score.HookFunc{
 		ID: telemetry.MetricID(d.ID() + ".capacity"),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -25,15 +26,17 @@ func DeviceClass(id telemetry.MetricID) string {
 	return s
 }
 
-// delphiFleet is the per-device-class sharding layer, active when
-// Config.DelphiRegistry is set: each class carries its own model (the
-// registry's active version, falling back to Config.Delphi for classes with
-// no lineage yet), its own batch predictor, and its own drift/retrain loop.
+// delphiFleet is the per-device-class sharding layer, active whenever the
+// service runs Delphi: each class carries its own model (the registry's
+// active version, falling back to Config.Delphi for classes with no lineage
+// yet), its own batch predictor, and its own drift/retrain loop. Without
+// Config.DelphiRegistry it holds one unversioned "default" class serving
+// Config.Delphi, with no trainer.
 type delphiFleet struct {
 	cfg Config
 	obs *obs.Registry
 
-	reg     *registry.Registry
+	reg     *registry.Registry // nil without Config.DelphiRegistry
 	trainer *registry.Trainer
 
 	mu      sync.Mutex
@@ -47,23 +50,33 @@ type deviceClass struct {
 	name  string
 	fleet *delphiFleet
 
-	mu        sync.Mutex
-	model     *delphi.Model
-	batch     *delphi.BatchPredictor
-	metrics   []telemetry.MetricID
-	onlines   []*delphi.Online
-	detectors []*delphi.Detector
-	vertices  []*score.FactVertex
-	scratch   []delphi.BatchPrediction
-	version   int
+	mu      sync.Mutex
+	model   *delphi.Model
+	batch   *delphi.BatchPredictor
+	members []member // members[i] sits in batch slot i
+	scratch []delphi.BatchPrediction
+	version int
+}
+
+// member is one Delphi-enabled vertex enrolled in a class.
+type member struct {
+	id     telemetry.MetricID
+	online *delphi.Online
+	det    *delphi.Detector // nil when drift detection is off
+	vertex *score.FactVertex
 }
 
 func newDelphiFleet(cfg Config, o *obs.Registry) (*delphiFleet, error) {
+	f := &delphiFleet{cfg: cfg, obs: o, classes: make(map[string]*deviceClass)}
+	if cfg.DelphiRegistry == "" {
+		f.classFor("") // instruments the default class from startup
+		return f, nil
+	}
 	reg, err := registry.Open(cfg.DelphiRegistry)
 	if err != nil {
 		return nil, err
 	}
-	f := &delphiFleet{cfg: cfg, obs: o, reg: reg, classes: make(map[string]*deviceClass)}
+	f.reg = reg
 	if cfg.DelphiRetrain > 0 {
 		f.trainer, err = registry.NewTrainer(registry.Config{
 			Clock:    cfg.Clock,
@@ -79,21 +92,32 @@ func newDelphiFleet(cfg Config, o *obs.Registry) (*delphiFleet, error) {
 	return f, nil
 }
 
+// classKey names the class a metric joins: its DeviceClass when a registry
+// versions models per class, else the one "default" class.
+func (f *delphiFleet) classKey(id telemetry.MetricID) string {
+	if f.reg == nil {
+		return "default"
+	}
+	return DeviceClass(id)
+}
+
 // classFor returns (creating on first use) the shard for a metric's class.
 // A freshly created class serves the registry's active version if one
 // exists, otherwise the service-wide base model.
 func (f *delphiFleet) classFor(id telemetry.MetricID) *deviceClass {
-	name := DeviceClass(id)
+	name := f.classKey(id)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c, ok := f.classes[name]; ok {
 		return c
 	}
 	c := &deviceClass{name: name, fleet: f, model: f.cfg.Delphi}
-	if m, v, err := f.reg.Active(name); err == nil {
-		c.model, c.version = m, v
+	if f.reg != nil {
+		if m, v, err := f.reg.Active(name); err == nil {
+			c.model, c.version = m, v
+		}
+		f.obs.Gauge(obs.Name("delphi_model_version", "class", name)).Set(float64(c.version))
 	}
-	f.obs.Gauge(obs.Name("delphi_model_version", "class", name)).Set(float64(c.version))
 	if c.model != nil && f.cfg.DelphiBatch > 0 {
 		if bp, err := delphi.NewBatchPredictor(c.model, f.cfg.DelphiBatch); err == nil {
 			bp.Instrument(f.obs, name)
@@ -121,24 +145,42 @@ func (c *deviceClass) newOnline() *delphi.Online {
 	return delphi.NewOnline(c.model)
 }
 
-// attach enrolls a registered vertex in the shard. det may be nil when drift
-// detection is off.
-func (c *deviceClass) attach(id telemetry.MetricID, o *delphi.Online, det *delphi.Detector, v *score.FactVertex) {
+// attach enrolls a registered vertex in the shard.
+func (c *deviceClass) attach(m member) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.batch != nil {
-		if _, err := c.batch.Register(o); err != nil {
+		if _, err := c.batch.Register(m.online); err != nil {
 			// The online wraps an older model than a promotion that landed
 			// between newOnline and attach; align it and retry.
-			if o.SwapModel(c.model) == nil {
-				_, _ = c.batch.Register(o)
+			if m.online.SwapModel(c.model) == nil {
+				_, _ = c.batch.Register(m.online)
 			}
 		}
 	}
-	c.metrics = append(c.metrics, id)
-	c.onlines = append(c.onlines, o)
-	c.detectors = append(c.detectors, det)
-	c.vertices = append(c.vertices, v)
+	c.members = append(c.members, m)
+}
+
+// detach removes an unregistered metric from its class: from the batch
+// sweep, the retrainer's dataset and the promotion fan-out. Later members
+// shift down one slot in step with the batch predictor's slots.
+func (f *delphiFleet) detach(id telemetry.MetricID) {
+	f.mu.Lock()
+	c, ok := f.classes[f.classKey(id)]
+	f.mu.Unlock()
+	if !ok {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i := slices.IndexFunc(c.members, func(m member) bool { return m.id == id })
+	if i < 0 {
+		return
+	}
+	if c.batch != nil {
+		c.batch.Unregister(i)
+	}
+	c.members = slices.Delete(c.members, i, i+1)
 }
 
 // measuredSegments snapshots every member vertex's measured history — the
@@ -147,12 +189,12 @@ func (c *deviceClass) attach(id telemetry.MetricID, o *delphi.Online, det *delph
 // in the segment buffers.
 func (c *deviceClass) measuredSegments() [][]float64 {
 	c.mu.Lock()
-	vertices := append([]*score.FactVertex(nil), c.vertices...)
+	members := slices.Clone(c.members)
 	c.mu.Unlock()
-	segs := make([][]float64, 0, len(vertices))
-	for _, v := range vertices {
+	segs := make([][]float64, 0, len(members))
+	for _, m := range members {
 		var seg []float64
-		v.History().RangeFunc(-1<<62, 1<<62, func(in telemetry.Info) bool {
+		m.vertex.History().RangeFunc(-1<<62, 1<<62, func(in telemetry.Info) bool {
 			if in.Source == telemetry.Measured {
 				seg = append(seg, in.Value)
 			}
@@ -182,17 +224,14 @@ func (c *deviceClass) promote(m *delphi.Model, version int) {
 	c.model, c.version = m, version
 	if c.batch != nil {
 		_ = c.batch.SwapModel(m)
-	} else {
-		for _, o := range c.onlines {
-			_ = o.SwapModel(m)
+	}
+	for _, mem := range c.members {
+		if c.batch == nil {
+			_ = mem.online.SwapModel(m)
 		}
-	}
-	for _, o := range c.onlines {
-		o.SetFallback(false)
-	}
-	for _, d := range c.detectors {
-		if d != nil {
-			d.Reset()
+		mem.online.SetFallback(false)
+		if mem.det != nil {
+			mem.det.Reset()
 		}
 	}
 }
@@ -219,7 +258,7 @@ func (f *delphiFleet) predictAll() []BatchResult {
 		if c.batch != nil {
 			c.scratch = c.batch.PredictAll(c.scratch[:0])
 			for _, p := range c.scratch {
-				out = append(out, BatchResult{Metric: c.metrics[p.Slot], Value: p.Value, OK: p.OK})
+				out = append(out, BatchResult{Metric: c.members[p.Slot].id, Value: p.Value, OK: p.OK})
 			}
 		}
 		c.mu.Unlock()

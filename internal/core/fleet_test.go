@@ -36,8 +36,8 @@ func TestServiceFleetClassSharding(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if s.BatchPredictor() != nil {
-		t.Fatal("fleet mode must not create the shared default predictor")
+	if _, ok := s.Metrics().Histograms[obs.Name("delphi_predict_seconds", "class", "default")]; ok {
+		t.Fatal("registry mode must not create the default class")
 	}
 	if s.DelphiRegistry() == nil {
 		t.Fatal("registry accessor nil")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -17,14 +18,12 @@ func trainedModel(t *testing.T) *delphi.Model {
 	return m
 }
 
-// TestServicePredictAllBatched wires metrics into the shared batch predictor
-// and checks the sweep covers exactly the Delphi-enabled ones, by name.
+// TestServicePredictAllBatched wires metrics into the default class's batch
+// predictor and checks the sweep covers exactly the Delphi-enabled ones, by
+// name.
 func TestServicePredictAllBatched(t *testing.T) {
 	s := New(Config{Delphi: trainedModel(t), DelphiBatch: 2})
 	defer s.Stop()
-	if s.BatchPredictor() == nil {
-		t.Fatal("batch predictor not created")
-	}
 	for _, id := range []telemetry.MetricID{"cap", "iops"} {
 		if _, err := s.RegisterMetric(constHook(id, 1)); err != nil {
 			t.Fatal(err)
@@ -84,13 +83,60 @@ func TestServicePredictAllEndToEnd(t *testing.T) {
 func TestServicePredictAllDisabled(t *testing.T) {
 	s := New(Config{})
 	defer s.Stop()
-	if s.BatchPredictor() != nil || s.PredictAll() != nil {
+	if s.PredictAll() != nil {
 		t.Fatal("batching must be off without DelphiBatch")
 	}
 	// Untrained model: the batch lane stays off, the service still works.
 	s2 := New(Config{Delphi: &delphi.Model{}, DelphiBatch: 4})
 	defer s2.Stop()
-	if s2.BatchPredictor() != nil {
-		t.Fatal("batch predictor must not be created for an untrained model")
+	if _, err := s2.RegisterMetric(constHook("cap", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if s2.PredictAll() != nil {
+		t.Fatal("no batch sweep may run for an untrained model")
+	}
+}
+
+// TestServiceUnregisterLeavesSweep re-registers an unregistered metric and
+// checks it is swept once, in its new registration position, and that the
+// retrainer's dataset no longer reads the stopped vertex — with and without a
+// registry.
+func TestServiceUnregisterLeavesSweep(t *testing.T) {
+	model := trainedModel(t)
+	for _, tc := range []struct {
+		name, registry, class string
+	}{
+		{"default", "", "default"},
+		{"registry", t.TempDir(), "cap"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Delphi: model, DelphiBatch: 2, DelphiRegistry: tc.registry})
+			defer s.Stop()
+			for _, id := range []telemetry.MetricID{"a.cap", "b.cap"} {
+				v, err := s.RegisterMetric(constHook(id, 3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				v.PollOnce()
+			}
+			if !s.Unregister("a.cap") {
+				t.Fatal("a.cap not registered")
+			}
+			if _, err := s.RegisterMetric(constHook("a.cap", 3)); err != nil {
+				t.Fatal(err)
+			}
+			var got []telemetry.MetricID
+			for _, r := range s.PredictAll() {
+				got = append(got, r.Metric)
+			}
+			if want := []telemetry.MetricID{"b.cap", "a.cap"}; !slices.Equal(got, want) {
+				t.Fatalf("sweep %v, want %v", got, want)
+			}
+			// Only b.cap's vertex has measured history: the stopped a.cap
+			// vertex is gone and its replacement has not polled yet.
+			if segs := s.fleet.classes[tc.class].measuredSegments(); len(segs) != 1 {
+				t.Fatalf("%d measured segments, want 1", len(segs))
+			}
+		})
 	}
 }

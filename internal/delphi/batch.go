@@ -3,6 +3,7 @@ package delphi
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -129,20 +130,20 @@ func (bp *BatchPredictor) Register(o *Online) (int, error) {
 	return len(bp.slots) - 1, nil
 }
 
+// Unregister removes the instance in slot from the sweep. Every later slot
+// shifts down by one, so registration order is kept; the arenas stay sized
+// for the high-water mark and the next sweep allocates nothing.
+func (bp *BatchPredictor) Unregister(slot int) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	bp.slots = slices.Delete(bp.slots, slot, slot+1)
+}
+
 // Slots reports how many instances are registered.
 func (bp *BatchPredictor) Slots() int {
 	bp.mu.RLock()
 	defer bp.mu.RUnlock()
 	return len(bp.slots)
-}
-
-// Observe forwards a measured value to a registered slot (convenience for
-// fleet drivers that feed the predictor directly instead of per-vertex).
-func (bp *BatchPredictor) Observe(slot int, v float64) {
-	bp.mu.RLock()
-	o := bp.slots[slot]
-	bp.mu.RUnlock()
-	o.Observe(v)
 }
 
 // PredictAll sweeps every registered slot and appends one BatchPrediction

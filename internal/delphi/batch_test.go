@@ -2,9 +2,11 @@ package delphi
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -17,6 +19,23 @@ func observeSeries(o *Online, seed int64, n int) {
 		v += rng.NormFloat64()
 		o.Observe(v)
 	}
+}
+
+// PredictUnfused is the original layer-by-layer prediction path (normalize,
+// per-feature Dense.Forward, combiner Dense.Forward, denormalize). It
+// allocates per call and mutates the layers' training caches, so it is not
+// safe for concurrent use — it is the golden reference the equivalence tests
+// and the BENCH_9 baseline compare the fast lane against.
+func (m *Model) PredictUnfused(window []float64) (float64, error) {
+	if len(window) != WindowSize {
+		return 0, fmt.Errorf("delphi: window size %d, want %d", len(window), WindowSize)
+	}
+	if len(m.features) != NumStacked || m.combiner == nil {
+		return 0, ErrNotTrained
+	}
+	norm, loc, scale := Normalize(window)
+	pred := m.combiner.Forward(m.combinerInput(norm))[0]
+	return pred*scale + loc, nil
 }
 
 func TestPredictMatchesUnfusedBitExact(t *testing.T) {
@@ -166,6 +185,23 @@ func TestBatchPredictAllZeroAlloc(t *testing.T) {
 			}); avg != 0 {
 				t.Fatalf("steady-state PredictAll allocates %v/op, want 0", avg)
 			}
+			// Unregistering a slot shifts the later ones down and keeps the
+			// sweep allocation-free.
+			before := slices.Clone(dst)
+			bp.Unregister(0)
+			if avg := testing.AllocsPerRun(50, func() {
+				dst = bp.PredictAll(dst[:0])
+			}); avg != 0 {
+				t.Fatalf("PredictAll after Unregister allocates %v/op, want 0", avg)
+			}
+			if len(dst) != tc.slots-1 {
+				t.Fatalf("%d results after Unregister, want %d", len(dst), tc.slots-1)
+			}
+			for i, p := range dst {
+				if q := before[i+1]; p.Slot != i || p.Value != q.Value || p.OK != q.OK {
+					t.Fatalf("slot %d after Unregister: %+v, want %+v shifted down", i, p, q)
+				}
+			}
 		})
 	}
 }
@@ -221,24 +257,4 @@ func TestBatchPredictorConcurrentObserve(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-func TestBatchPredictorObserveForwards(t *testing.T) {
-	m := trained(t)
-	bp, err := NewBatchPredictor(m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bp.Close()
-	o := NewOnline(m)
-	slot, err := bp.Register(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < WindowSize; i++ {
-		bp.Observe(slot, float64(i))
-	}
-	if !o.Ready() {
-		t.Fatal("online not ready after Observe via predictor")
-	}
 }

@@ -86,7 +86,7 @@ func TestComposite(t *testing.T) {
 }
 
 func TestNormalize(t *testing.T) {
-	norm, loc, scale := normalize([]float64{10, 10, 10, 10, 10})
+	norm, loc, scale := Normalize([]float64{10, 10, 10, 10, 10})
 	if loc != 10 || scale != 1 {
 		t.Fatalf("loc=%f scale=%f", loc, scale)
 	}
@@ -95,7 +95,7 @@ func TestNormalize(t *testing.T) {
 			t.Fatal("constant window not zeroed")
 		}
 	}
-	norm, loc, scale = normalize([]float64{0, 10})
+	norm, loc, scale = Normalize([]float64{0, 10})
 	if loc != 5 || scale != 5 {
 		t.Fatalf("loc=%f scale=%f", loc, scale)
 	}

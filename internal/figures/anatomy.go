@@ -10,8 +10,8 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/cluster"
 	"repro/internal/hooks"
-	"repro/internal/sched"
 	"repro/internal/score"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
@@ -36,7 +36,7 @@ func Fig4(opts Options) (*Table, error) {
 		Hook:             hook,
 		Bus:              bus,
 		Controller:       adaptive.NewFixed(time.Second),
-		Clock:            sched.NewSimClock(time.Unix(0, 0)),
+		Clock:            sim.NewVirtual(time.Unix(0, 0)),
 		PublishUnchanged: true,
 	})
 	if err != nil {
@@ -47,7 +47,7 @@ func Fig4(opts Options) (*Table, error) {
 		Inputs:           []telemetry.MetricID{hook.Metric()},
 		Builder:          score.Sum,
 		Bus:              bus,
-		Clock:            sched.NewSimClock(time.Unix(0, 0)),
+		Clock:            sim.NewVirtual(time.Unix(0, 0)),
 		PublishUnchanged: true,
 	})
 	if err != nil {
@@ -143,7 +143,7 @@ func Fig5(opts Options) (*Table, error) {
 			// 16 vertices x 100us hook / 12ms interval ~ 13% of one core,
 			// the Apollo share the paper reports.
 			Controller: adaptive.NewFixed(12 * time.Millisecond),
-			Clock:      sched.RealClock{},
+			Clock:      sim.Wall{},
 		})
 		if err != nil {
 			return nil, err

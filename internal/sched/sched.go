@@ -30,11 +30,6 @@ type Clock interface {
 	After(d time.Duration) <-chan time.Time
 }
 
-// RealClock is the wall-clock implementation of Clock, now an alias of
-// sim.Wall so one value satisfies both this package's Clock and the full
-// sim.Clock the vertex/transport layers take.
-type RealClock = sim.Wall
-
 // timer is one scheduled callback.
 type timer struct {
 	id    uint64
@@ -84,7 +79,7 @@ type Loop struct {
 // NewLoop returns a loop driven by clock (nil means the real clock).
 func NewLoop(clock Clock) *Loop {
 	if clock == nil {
-		clock = RealClock{}
+		clock = sim.Wall{}
 	}
 	return &Loop{
 		clock:   clock,

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -26,7 +27,7 @@ func TestFactVertexOnSharedLoop(t *testing.T) {
 			Hook:             counterHook(id),
 			Bus:              bus,
 			Controller:       adaptive.NewFixed(2 * time.Millisecond),
-			Clock:            sched.RealClock{},
+			Clock:            sim.Wall{},
 			Loop:             loop,
 			PublishUnchanged: true,
 		})
@@ -89,7 +90,7 @@ func TestFactVertexLoopStoppedLoop(t *testing.T) {
 		Hook:       counterHook("dead.loop"),
 		Bus:        bus,
 		Controller: adaptive.NewFixed(time.Millisecond),
-		Clock:      sched.RealClock{},
+		Clock:      sim.Wall{},
 		Loop:       loop,
 	})
 	if err != nil {
@@ -124,7 +125,7 @@ func TestInsightOverRemoteClient(t *testing.T) {
 	defer srv.Close()
 	defer broker.Close()
 
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	fa := newFact(t, broker, &ReplayHook{ID: "ra", Trace: []float64{7}}, func(c *FactConfig) { c.Clock = clock })
 	fb := newFact(t, broker, &ReplayHook{ID: "rb", Trace: []float64{35}}, func(c *FactConfig) { c.Clock = clock })
 

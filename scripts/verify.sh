@@ -24,8 +24,8 @@ go vet ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race ./internal/stream/... ./internal/score/... ./internal/queue/... ./internal/sched/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./internal/core/... ./apollo/... ./api/..."
-go test -race ./internal/stream/... ./internal/score/... ./internal/queue/... ./internal/sched/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./internal/core/... ./apollo/... ./api/...
+echo "==> go test -race ./internal/stream/... ./internal/score/... ./internal/queue/... ./internal/sched/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./internal/core/... ./internal/cluster/... ./internal/hooks/... ./internal/insights/... ./internal/middleware/... ./internal/ldms/... ./internal/trace/... ./apollo/... ./api/..."
+go test -race ./internal/stream/... ./internal/score/... ./internal/queue/... ./internal/sched/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./internal/core/... ./internal/cluster/... ./internal/hooks/... ./internal/insights/... ./internal/middleware/... ./internal/ldms/... ./internal/trace/... ./apollo/... ./api/...
 
 # Deterministic-simulation gate: the end-to-end virtual-time scenario
 # (seeded faults, invariant checks, reproducible digest) under the race
